@@ -211,6 +211,14 @@ class AclEntry:
         )
 
 
+def first_match(entries, flow):
+    """The first of ``entries`` matching ``flow``, or ``None`` (implicit deny)."""
+    for entry in entries:
+        if entry.matches(flow):
+            return entry
+    return None
+
+
 @dataclass
 class Acl:
     """A named or numbered ACL: ordered entries with implicit final deny."""
@@ -225,17 +233,12 @@ class Acl:
 
     def permits(self, flow):
         """First-match evaluation; implicit deny when nothing matches."""
-        for entry in self.entries:
-            if entry.matches(flow):
-                return entry.action == "permit"
-        return False
+        entry = first_match(self.entries, flow)
+        return entry is not None and entry.action == "permit"
 
     def matching_entry(self, flow):
         """The entry that decides ``flow``, or ``None`` for the implicit deny."""
-        for entry in self.entries:
-            if entry.matches(flow):
-                return entry
-        return None
+        return first_match(self.entries, flow)
 
     def copy(self):
         """Deep copy (entries are immutable, the list is not)."""

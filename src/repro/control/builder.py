@@ -17,8 +17,9 @@ Compilation is cached and incremental (see :mod:`repro.control.cache` and
 the "Performance architecture" section of DESIGN.md): every build is keyed
 by a content fingerprint of the snapshot, identical snapshots share one set
 of compiled artifacts, and a build given a ``baseline`` reuses the
-baseline's L2 segments, routing results, and per-device FIBs wherever the
-changed configs cannot have affected them.
+baseline's L2 segments, routing results, per-device FIBs and
+forwarding-index rows wherever the changed configs cannot have affected
+them.
 """
 
 import ipaddress
@@ -35,6 +36,7 @@ from repro.control.l2 import compute_segments
 from repro.control.ospf import compute_ospf_routes, incremental_ospf_routes
 from repro.control.routes import Route, select_best_routes
 from repro.dataplane.fib import Fib
+from repro.dataplane.index import build_index
 from repro.dataplane.plane import DataPlane
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -115,7 +117,7 @@ def build_dataplane(network, baseline=None, changed_devices=None,
     if cache is not None:
         artifacts = cache.get(fingerprint)
         if artifacts is not None:
-            return _plane(network, artifacts)
+            return DataPlane(network, artifacts)
     started = monotonic_s() if _OBS.enabled else 0.0
     with obs_trace.span("dataplane.build", incremental=baseline is not None):
         if baseline is not None:
@@ -131,15 +133,7 @@ def build_dataplane(network, baseline=None, changed_devices=None,
         _BUILD_MS.observe((monotonic_s() - started) * 1000.0)
     if cache is not None:
         cache.put(fingerprint, artifacts)
-    return _plane(network, artifacts)
-
-
-def _plane(network, artifacts):
-    """Bind shared compile artifacts to the calling network."""
-    return DataPlane(
-        network, artifacts.segments, artifacts.fibs, artifacts.ospf,
-        bgp=artifacts.bgp, artifacts=artifacts,
-    )
+    return DataPlane(network, artifacts)
 
 
 def _full_compile(network, fingerprint, topology_fp, device_fps):
@@ -156,7 +150,8 @@ def _full_compile(network, fingerprint, topology_fp, device_fps):
     for switch in network.switches():
         fibs[switch] = Fib()
     return CompiledDataplane(
-        fingerprint, topology_fp, device_fps, segments, fibs, ospf, bgp
+        fingerprint, topology_fp, device_fps, segments, fibs, ospf, bgp,
+        index=build_index(network, segments),
     )
 
 
@@ -202,6 +197,9 @@ def _incremental_compile(network, fingerprint, topology_fp, device_fps,
       only when a recomputed protocol run actually produced different routes
       for them; every other device shares the baseline's Fib object (which
       downstream differential analysis exploits via identity checks).
+    * **Forwarding-index rows** are rebuilt for changed devices only; see
+      :func:`repro.dataplane.index.build_index` for how rows and the maps
+      built from them are shared.
     """
     artifacts = getattr(baseline, "artifacts", None)
     if (
@@ -273,7 +271,8 @@ def _incremental_compile(network, fingerprint, topology_fp, device_fps,
     deps.record_fib_rebuilds(rebuilt)
 
     return CompiledDataplane(
-        fingerprint, topology_fp, device_fps, segments, fibs, ospf, bgp
+        fingerprint, topology_fp, device_fps, segments, fibs, ospf, bgp,
+        index=build_index(network, segments, base=artifacts, changed=changed),
     )
 
 

@@ -17,12 +17,14 @@ results, trace cache) to the calling network, which by fingerprint equality
 is semantically identical to the one compiled.
 
 The attached trace cache is shared across every plane rebound from the same
-entry: forwarding traces are pure functions of the snapshot content, so a
-trace computed while verifying one ticket is valid for every later plane
-with the same fingerprint. The one caveat is inherited from the existing
-snapshot contract ("the data plane is a snapshot — recompute it after
-configs change"): tracing on a stale plane after mutating its network in
-place was always undefined behaviour and remains so.
+entry: forwarding reads only the compiled artifacts (the FIBs and the
+:class:`~repro.dataplane.index.ForwardingIndex`), so a trace is a pure
+function of the fingerprint and a trace computed while verifying one ticket
+is valid for every later plane with the same fingerprint. A plane whose
+network was mutated in place after the compile is stale, not undefined: it
+keeps answering for the snapshot it was compiled from ("the data plane is a
+snapshot — recompute it after configs change"), and what it caches is that
+snapshot's answer.
 """
 
 import hashlib
@@ -135,12 +137,12 @@ class CompiledDataplane:
 
     Everything here is treated as immutable after construction except
     ``trace_cache``, which only ever grows (guarded by ``trace_lock``) and
-    holds traces that are pure functions of the snapshot content,
-    ``owner_cache``, which memoizes the global source-IP-owner scan
-    (``src_ip -> device name or None``), and ``dead_memo``, which memoizes
-    per-device dead-next-hop frozensets for the rollout health probe's
-    convergence sweep. All three hold values deterministic for a
-    fingerprint, so lock-free get/set races are benign.
+    holds traces that are pure functions of the snapshot content, and
+    ``dead_memo``, which memoizes per-device dead-next-hop frozensets for
+    the rollout health probe's convergence sweep. Both hold values
+    deterministic for a fingerprint, so lock-free get/set races are benign.
+    ``index`` is the :class:`~repro.dataplane.index.ForwardingIndex`, the
+    only view of the configs a trace reads.
     """
 
     fingerprint: str
@@ -150,9 +152,9 @@ class CompiledDataplane:
     fibs: dict
     ospf: object
     bgp: object
+    index: object = None
     trace_cache: dict = field(default_factory=dict)
     trace_lock: object = field(default_factory=threading.Lock)
-    owner_cache: dict = field(default_factory=dict)
     dead_memo: dict = field(default_factory=dict)
 
 

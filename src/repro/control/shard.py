@@ -51,7 +51,6 @@ from repro.control.bgp import compute_bgp_routes
 from repro.control.builder import (
     _connected_routes,
     _host_routes,
-    _plane,
     _static_routes,
 )
 from repro.control.cache import (
@@ -63,6 +62,8 @@ from repro.control.l2 import compute_segments
 from repro.control.ospf import OspfRouteComputation
 from repro.control.routes import ADMIN_DISTANCE, Route, select_best_routes
 from repro.dataplane.fib import Fib
+from repro.dataplane.index import build_index
+from repro.dataplane.plane import DataPlane
 from repro.dataplane.reachability import ReachabilityAnalyzer
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -260,7 +261,7 @@ def sharded_compile(network, workers=None, shard_size=DEFAULT_SHARD_SIZE,
         fingerprint, topology_fp, device_fps = snapshot_fingerprint(network)
         artifacts = cache.get(fingerprint)
         if artifacts is not None:
-            return _plane(network, artifacts)
+            return DataPlane(network, artifacts)
     started = monotonic_s() if _OBS.enabled else 0.0
     workers = effective_workers(workers)
     with obs_trace.span(
@@ -274,7 +275,7 @@ def sharded_compile(network, workers=None, shard_size=DEFAULT_SHARD_SIZE,
         _COMPILE_MS.observe((monotonic_s() - started) * 1000.0)
     if cache is not None:
         cache.put(fingerprint, artifacts)
-    return _plane(network, artifacts)
+    return DataPlane(network, artifacts)
 
 
 def _sharded_full_compile(network, fingerprint, topology_fp, device_fps,
@@ -355,7 +356,8 @@ def _sharded_full_compile(network, fingerprint, topology_fp, device_fps,
     for switch in network.switches():
         fibs[switch] = Fib()
     return CompiledDataplane(
-        fingerprint, topology_fp, device_fps, segments, fibs, ospf, bgp
+        fingerprint, topology_fp, device_fps, segments, fibs, ospf, bgp,
+        index=build_index(network, segments),
     )
 
 

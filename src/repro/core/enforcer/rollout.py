@@ -302,8 +302,6 @@ class HealthProbe:
         else:
             baseline = production.copy()
             plane = build_dataplane(baseline, use_cache=False)
-        # The baseline network is our private copy; nothing mutates it.
-        plane.assert_binding_intact()
         return cls(
             plane,
             policy_verifier=policy_verifier,
@@ -329,7 +327,6 @@ class HealthProbe:
         for device, snapshot_config in journal.snapshot.items():
             baseline.configs[device] = snapshot_config.copy()
         plane = build_dataplane(baseline, use_cache=config.probe_incremental)
-        plane.assert_binding_intact()
         return cls(
             plane,
             policy_verifier=policy_verifier,
@@ -370,9 +367,6 @@ class HealthProbe:
                 )
             else:
                 plane = build_dataplane(production, use_cache=False)
-            # The push loop is the plane's only consumer and nothing
-            # mutates production until the probe verdict is in.
-            plane.assert_binding_intact()
             if self.incremental:
                 source = self._last_plane
                 _seed_probe_traces(
@@ -422,8 +416,6 @@ class HealthProbe:
         base = self.baseline_plane
         if (
             self._baseline_dead_by_device is None
-            or plane.artifacts is None
-            or base.artifacts is None
             or plane.segments is not base.segments
         ):
             return self._dead_next_hops(plane)
@@ -466,13 +458,10 @@ class HealthProbe:
         the same fingerprint (repeated probes of one mixed-version state,
         re-probes after resume) reuses it.
         """
-        memo = (
-            plane.artifacts.dead_memo if plane.artifacts is not None else None
-        )
-        if memo is not None:
-            cached = memo.get(device)
-            if cached is not None:
-                return cached
+        memo = plane.artifacts.dead_memo
+        cached = memo.get(device)
+        if cached is not None:
+            return cached
         dead = set()
         for route in plane.fib(device).routes():
             if route.next_hop is None:
@@ -483,8 +472,7 @@ class HealthProbe:
             if resolved is None:
                 dead.add(f"{device}: {route.prefix} via {route.next_hop}")
         dead = frozenset(dead)
-        if memo is not None:
-            memo[device] = dead
+        memo[device] = dead
         return dead
 
 
@@ -496,14 +484,14 @@ def _seed_probe_traces(source_plane, plane):
     segment table is the identical object, every device on its path kept
     both its config fingerprint and its FIB object, and no changed device
     sits on a segment any path device touches (next-hop resolution reads
-    neighbouring endpoint configs). Traces keyed with an implicit start
-    (``start_device=None``) are skipped — their owner resolution scans
-    every config globally.
+    neighbouring endpoints' forwarding-index rows). Traces keyed with an
+    implicit start (``start_device=None``) are skipped — their owner
+    resolution is global, not per-path.
     """
     base_art = source_plane.artifacts
     art = plane.artifacts
     if (
-        base_art is None or art is None or art is base_art
+        art is base_art
         or art.trace_cache or not base_art.trace_cache
         or plane.segments is not source_plane.segments
     ):

@@ -180,14 +180,6 @@ class ChangeVerifier:
                 production_dataplane = build_dataplane(
                     production, use_cache=self.incremental
                 )
-            # Neither plane's configs mutate while this pass runs:
-            # production is never mutated here and the sessions layer
-            # serializes pushes against verification; the candidate is
-            # built below by this method and dropped when it returns. So
-            # the trace-cache drift guard (re-hashing every device on a
-            # traced path) would only re-prove what the compile just
-            # fingerprinted — skip it on the verification hot path.
-            production_dataplane.assert_binding_intact()
             with obs_trace.span("enforcer.policy.baseline"):
                 baseline_report = self._verify_policies(production_dataplane)
             decision.baseline_report = baseline_report
@@ -220,7 +212,6 @@ class ChangeVerifier:
                     candidate_dataplane = build_dataplane(
                         candidate, use_cache=False
                     )
-                candidate_dataplane.assert_binding_intact()
             with obs_trace.span("enforcer.policy.candidate"):
                 decision.candidate_report = self._verify_policies(
                     candidate_dataplane

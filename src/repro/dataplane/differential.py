@@ -111,60 +111,28 @@ def default_probe_flows(network, protocol="icmp"):
     return flows
 
 
-def _forwarding_view(config):
-    """The slice of one config the forwarding walk actually reads.
-
-    :func:`~repro.dataplane.forwarding.trace_flow` consults a device's
-    config only through its ACLs (ingress/egress ``permits``), its interface
-    addresses (``owns_address`` delivery checks, next-hop resolution), and
-    interface liveness/routed-ness. Routing stanzas (OSPF/BGP processes,
-    static routes) influence forwarding exclusively through the compiled
-    FIBs, which :class:`TraceCarryover` compares separately per flow.
-    """
-    return (
-        {
-            name: (
-                iface.address, iface.shutdown, iface.is_routed,
-                iface.access_group_in, iface.access_group_out,
-            )
-            for name, iface in config.interfaces.items()
-        },
-        config.acls,
-    )
-
-
 def changed_configs(before, after):
     """Devices whose *forwarding-relevant* config differs between two planes.
 
-    Returns ``None`` (meaning "assume everything changed") unless the
-    comparison is provably sound: both planes must carry per-device config
-    fingerprints (i.e. came through the compile builder) and cover the same
-    device names. Segment-structure changes are handled per traversed
-    segment by :class:`TraceCarryover`, not here.
+    Compares the two planes' forwarding-index rows — exactly what the walk
+    reads from a config. Returns ``None`` (meaning "assume everything
+    changed") when the planes do not cover the same device names.
+    Segment-structure changes are handled per traversed segment by
+    :class:`TraceCarryover`, not here.
 
-    A device whose config fingerprint changed but whose
-    :func:`_forwarding_view` did not (e.g. an edited OSPF ``network``
-    statement) is *not* reported: its forwarding behaviour can only change
-    through its FIB, and :func:`trace_unaffected` compares per-flow FIB
-    lookups on every non-shared FIB along the path anyway.
+    A device whose config changed but whose row did not (e.g. an edited
+    OSPF ``network`` statement, or an ACL no interface applies) is *not*
+    reported: its forwarding behaviour can only change through its FIB,
+    and :func:`trace_unaffected` compares per-flow FIB lookups on every
+    non-shared FIB along the path anyway.
     """
-    before_fps = before.device_fingerprints
-    after_fps = after.device_fingerprints
-    if (
-        before_fps is None
-        or after_fps is None
-        or set(before_fps) != set(after_fps)
-    ):
+    before_rows = before.index.rows
+    after_rows = after.index.rows
+    if before_rows.keys() != after_rows.keys():
         return None
-    changed = set()
-    for name, fp in after_fps.items():
-        if before_fps[name] == fp:
-            continue
-        if _forwarding_view(before.network.config(name)) != _forwarding_view(
-            after.network.config(name)
-        ):
-            changed.add(name)
-    return changed
+    return {
+        name for name, row in after_rows.items() if row != before_rows[name]
+    }
 
 
 class TraceCarryover:
@@ -176,8 +144,8 @@ class TraceCarryover:
     before-trace carries over to the after plane verbatim when, along its
     recorded path:
 
-    * no visited device's config changed (ACLs, addresses, shutdown — all
-      covered by the config fingerprint);
+    * no visited device's forwarding-index row changed (applied ACLs,
+      addresses, shutdown);
     * every visited device's FIB either *is* the identity-shared baseline
       object or resolves the flow's destination to an equal route — a
       network-wide routing change only perturbs flows whose destination
@@ -186,10 +154,9 @@ class TraceCarryover:
       (identity-shared tables satisfy this trivially; recomputed tables are
       compared structurally per segment, so an L2 change invalidates only
       the broadcast domains it actually rewired), and none of those
-      endpoints' configs changed — next-hop resolution reads every
-      endpoint's config, so a changed device merely sitting on a traversed
-      segment can alter the outcome (e.g. by acquiring a duplicate next-hop
-      address).
+      endpoints' rows changed — next-hop resolution reads every endpoint's
+      row, so a changed device merely sitting on a traversed segment can
+      alter the outcome (e.g. by acquiring a duplicate next-hop address).
 
     Per-(device, destination) lookup comparisons and per-segment endpoint
     checks are memoized: thousands of traces share a handful of distinct
@@ -267,9 +234,8 @@ def seed_unaffected_traces(before, after):
     For every trace in ``before``'s cache that :func:`trace_unaffected`
     proves identical, install the same trace object in ``after``'s cache so
     the candidate-side verifier and diff never re-trace it. Traces keyed
-    with ``start=None`` additionally require that the source-IP owner
-    lookup resolves to the same device on both networks (that scan is
-    global, not per-path).
+    with ``start=None`` additionally require that both planes' owner maps
+    resolve the source IP to the same device.
 
     Returns the number of traces seeded; 0 when the planes are not
     comparable (see :func:`changed_configs`).
@@ -278,23 +244,9 @@ def seed_unaffected_traces(before, after):
     if config_changed is None:
         return 0
     carryover = TraceCarryover(before, after, config_changed)
-    # Owner stability for start=None keys: devices outside config_changed
-    # have identical addresses, so the global owner scan can only diverge at
-    # a changed device — provided both networks enumerate devices in the
-    # same order (first owner wins on duplicate addresses).
-    same_order = list(before.network.configs) == list(after.network.configs)
-    owner_stable = {}
 
     def _owner_stable(src_ip):
-        stable = owner_stable.get(src_ip)
-        if stable is None:
-            stable = same_order and all(
-                before.network.config(name).owns_address(src_ip)
-                == after.network.config(name).owns_address(src_ip)
-                for name in config_changed
-            )
-            owner_stable[src_ip] = stable
-        return stable
+        return before.index.owner(src_ip) == after.index.owner(src_ip)
 
     seeded = 0
     with before.trace_lock:

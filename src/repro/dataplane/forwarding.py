@@ -9,6 +9,8 @@ explanations Batfish gives for why a packet was dropped.
 import enum
 from dataclasses import dataclass, field
 
+from repro.config.acl import first_match
+
 _MAX_HOPS = 64
 
 
@@ -67,9 +69,8 @@ class ForwardingTrace:
 
 def trace_flow(dataplane, flow, start_device=None):
     """Trace ``flow`` from ``start_device`` (default: the owner of its source IP)."""
-    network = dataplane.network
     if start_device is None:
-        start_device = network.device_owning_ip(flow.src_ip)
+        start_device = dataplane.index.owner(flow.src_ip)
         if start_device is None:
             trace = ForwardingTrace(flow=flow)
             trace.disposition = Disposition.SOURCE_DOWN
@@ -78,78 +79,84 @@ def trace_flow(dataplane, flow, start_device=None):
 
 
 class _Walker:
-    """Stateful walk of one flow through the data plane."""
+    """Stateful walk of one flow through the data plane.
+
+    Reads only the plane's compiled artifacts — the forwarding index and
+    the FIBs — never a live config.
+    """
 
     def __init__(self, dataplane, flow):
         self.dataplane = dataplane
-        self.network = dataplane.network
+        self.index = dataplane.index
         self.flow = flow
         self.trace = ForwardingTrace(flow=flow)
         self._visited = set()
 
     def walk(self, device, in_interface=None):
+        index = self.index
+        hops = self.trace.hops
+        dst_ip = self.flow.dst_ip
+        dst = int(dst_ip)
         while True:
             hop = Hop(device=device, in_interface=in_interface)
-            self.trace.hops.append(hop)
+            hops.append(hop)
 
             if device in self._visited:
                 return self._finish(Disposition.LOOP, hop, "revisited device")
             self._visited.add(device)
 
-            config = self.network.config(device)
+            row = index.row(device)
 
             if in_interface is not None and not self._permitted(
-                config, in_interface, "in", hop
+                row, in_interface, "in", hop
             ):
                 return self._finish(Disposition.DENIED_IN, hop)
 
-            if config.owns_address(self.flow.dst_ip):
+            if dst in row.owned:
                 return self._finish(Disposition.DELIVERED, hop)
 
-            if device in self.network.hosts() and in_interface is not None:
+            if in_interface is not None and device in index.hosts:
                 return self._finish(
                     Disposition.NOT_FORWARDED, hop, "hosts do not forward"
                 )
 
-            route = self.dataplane.fib(device).lookup(self.flow.dst_ip)
+            route = self.dataplane.fib(device).lookup(dst_ip)
             if route is None:
                 return self._finish(Disposition.NO_ROUTE, hop)
             hop.route = route
             hop.out_interface = route.out_interface
 
-            if not self._permitted(config, route.out_interface, "out", hop):
+            if not self._permitted(row, route.out_interface, "out", hop):
                 return self._finish(Disposition.DENIED_OUT, hop)
 
-            target_ip = route.next_hop if route.next_hop is not None else self.flow.dst_ip
-            next_endpoint = self.dataplane.resolve_next_hop(
-                device, route.out_interface, target_ip
+            target_ip = route.next_hop if route.next_hop is not None else dst_ip
+            next_endpoint = index.next_hop(
+                device, route.out_interface, int(target_ip)
             )
             if next_endpoint is None:
                 return self._finish(
                     Disposition.ARP_FAILURE, hop, f"no endpoint owns {target_ip}"
                 )
 
-            if len(self.trace.hops) >= _MAX_HOPS:
+            if len(hops) >= _MAX_HOPS:
                 return self._finish(Disposition.LOOP, hop, "hop limit")
 
             device, in_interface = next_endpoint
 
-    def _permitted(self, config, iface_name, direction, hop):
+    def _permitted(self, row, iface_name, direction, hop):
         """Apply the interface's ACL in ``direction``; absent ACLs permit."""
-        iface = config.interfaces.get(iface_name)
+        iface = row.interfaces.get(iface_name)
         if iface is None:
             return True
-        acl_name = (
-            iface.access_group_in if direction == "in" else iface.access_group_out
-        )
-        if acl_name is None or acl_name not in config.acls:
-            # IOS treats a reference to a missing ACL as permit-all.
+        acl = iface.acl_in if direction == "in" else iface.acl_out
+        if acl is None:
             return True
-        acl = config.acls[acl_name]
-        permitted = acl.permits(self.flow)
-        if not permitted:
-            hop.note = f"acl {acl_name} {direction} denied"
-        return permitted
+        name, entries = acl
+        entry = first_match(entries, self.flow)
+        if entry is not None and entry.action == "permit":
+            return True
+        hop.note = f"acl {name} {direction} denied"
+        return False
 
     def _finish(self, disposition, hop, note=""):
         if note:

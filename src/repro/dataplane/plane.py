@@ -1,7 +1,5 @@
 """The compiled data plane: per-device FIBs plus L2 segment structure."""
 
-import threading
-
 from repro.util.errors import TopologyError
 
 
@@ -12,98 +10,33 @@ class DataPlane:
     :mod:`repro.dataplane.forwarding` and the policy verifier. The data plane
     is a snapshot — recompute it after configs change.
 
-    When built through the compile cache, ``artifacts`` carries the shared
-    :class:`~repro.control.cache.CompiledDataplane` this plane was rebound
-    from: its fingerprints let differential analysis identify exactly which
-    devices changed between two planes, and its trace cache is shared by
-    every plane with the same content fingerprint so traces computed once
-    are reused across verifier runs.
+    ``artifacts`` is the shared :class:`~repro.control.cache.CompiledDataplane`
+    this plane was rebound from. Its forwarding index is all a trace reads
+    from the configs, so a trace is a pure function of the fingerprint and
+    the artifacts' trace cache is shared by every plane with the same
+    fingerprint: traces computed once are reused across verifier runs.
     """
 
-    def __init__(self, network, segments, fibs, ospf, bgp=None, artifacts=None):
+    def __init__(self, network, artifacts):
         self.network = network
-        self.segments = segments
-        self._fibs = fibs
-        self.ospf = ospf
-        self.bgp = bgp
         self.artifacts = artifacts
-        if artifacts is not None:
-            self.trace_cache = artifacts.trace_cache
-            self.trace_lock = artifacts.trace_lock
-            self.owner_cache = artifacts.owner_cache
-        else:
-            self.trace_cache = {}
-            self.trace_lock = threading.Lock()
-            self.owner_cache = {}
-        # device -> bool memo for binding_intact(); per plane, so one
-        # verification pass re-hashes each device at most once. Benign
-        # lock-free races: the value is deterministic for this plane.
-        self._binding_memo = {}
-        self._binding_asserted = False
-
-    def assert_binding_intact(self):
-        """Caller's promise: no in-place config mutation while this plane lives.
-
-        Skips the re-hash drift guard in :meth:`binding_intact` for the rest
-        of this plane's lifetime. Sound only for callers that own both the
-        plane and its network and will not mutate any config in place until
-        they drop the plane — the enforcer's verify pipeline qualifies (it
-        builds the candidate itself and the sessions layer serializes
-        production mutation against verification), an interactive twin
-        console does not. Like the ``changed_devices`` assertion of
-        :func:`~repro.control.cache.derived_fingerprint`, a false promise
-        silently corrupts shared state, so assert only from code that
-        constructs its snapshots itself.
-        """
-        self._binding_asserted = True
+        self.segments = artifacts.segments
+        self._fibs = artifacts.fibs
+        self.ospf = artifacts.ospf
+        self.bgp = artifacts.bgp
+        self.index = artifacts.index
+        self.trace_cache = artifacts.trace_cache
+        self.trace_lock = artifacts.trace_lock
 
     @property
     def fingerprint(self):
-        """Snapshot content hash, or ``None`` for hand-assembled planes."""
-        return self.artifacts.fingerprint if self.artifacts is not None else None
+        """Snapshot content hash, or ``None`` for an unfingerprinted compile."""
+        return self.artifacts.fingerprint
 
     @property
     def device_fingerprints(self):
-        """Per-device config hashes, or ``None`` for hand-assembled planes."""
-        if self.artifacts is None:
-            return None
+        """Per-device config hashes, or ``None`` for an unfingerprinted compile."""
         return self.artifacts.device_fingerprints
-
-    def binding_intact(self, devices):
-        """Whether ``devices``' live configs still match this plane's build.
-
-        A compile-cache hit rebinds shared artifacts to the calling network
-        by fingerprint equality *at rebind time*; a caller that later
-        mutates configs in place leaves the plane stale. Consumers that
-        publish results into the **shared** trace cache (the reachability
-        analyzer) call this first so a drifted plane can never poison the
-        cache for an unrelated session. Hand-assembled planes (no
-        artifacts) trivially pass — their caches are private — as do planes
-        whose owner promised no in-place mutation via
-        :meth:`assert_binding_intact`.
-        """
-        if self.artifacts is None or self._binding_asserted:
-            return True
-        expected = self.artifacts.device_fingerprints
-        if expected is None:
-            # Unfingerprinted artifacts (a cache-bypassing sharded compile)
-            # are never shared through the compile cache, so their trace
-            # store is as private as a hand-assembled plane's.
-            return True
-        from repro.control.cache import config_fingerprint
-
-        for device in devices:
-            clean = self._binding_memo.get(device)
-            if clean is None:
-                config = self.network.configs.get(device)
-                clean = (
-                    config is not None
-                    and config_fingerprint(config) == expected.get(device)
-                )
-                self._binding_memo[device] = clean
-            if not clean:
-                return False
-        return True
 
     def fib(self, device):
         """The FIB of ``device`` (empty for switches)."""
@@ -119,15 +52,4 @@ class DataPlane:
         connected routes. Returns ``None`` when no live endpoint on the
         segment owns the address (dead next hop / host down at L2).
         """
-        segment = self.segments.segment_of(device, out_interface)
-        if segment is None:
-            return None
-        for other_device, other_iface in segment.endpoints:
-            if (other_device, other_iface) == (device, out_interface):
-                continue
-            iface_cfg = self.network.config(other_device).interfaces.get(other_iface)
-            if iface_cfg is None or not iface_cfg.is_routed or iface_cfg.shutdown:
-                continue
-            if iface_cfg.address.ip == target_ip:
-                return (other_device, other_iface)
-        return None
+        return self.index.next_hop(device, out_interface, int(target_ip))

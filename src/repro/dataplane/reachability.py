@@ -1,18 +1,7 @@
 """Reachability queries over a compiled data plane."""
 
-import threading
-
 from repro.dataplane.forwarding import trace_flow
 from repro.net.flow import Flow
-from repro.obs import metrics as obs_metrics
-
-_TRACE_DRIFT = obs_metrics.counter(
-    "dataplane.trace.drift", unit="traces",
-    help="traces computed on a drifted rebound plane and kept out of the "
-         "shared trace cache",
-)
-
-_UNRESOLVED = object()  # owner_cache sentinel: "not looked up yet" vs None
 
 
 def host_flow(network, src_host, dst_host, protocol="icmp"):
@@ -39,70 +28,31 @@ class ReachabilityAnalyzer:
     """Pairwise reachability over one data-plane snapshot.
 
     Traces are cached per (flow, start) — the verifier asks about the same
-    flows repeatedly while checking a policy set. When the data plane came
-    through the compile cache, the cache dict is *shared* with the plane
-    (and so with every other analyzer over an equal-fingerprint plane), so
-    traces survive across verifier runs and across the enforcer's
-    verify/diff pipeline.
+    flows repeatedly while checking a policy set. The cache dict is
+    *shared* with the plane's compile artifacts (and so with every other
+    analyzer over an equal-fingerprint plane), so traces survive across
+    verifier runs and across the enforcer's verify/diff pipeline. Sharing
+    is safe by construction: a trace reads only the compiled artifacts, so
+    it is a pure function of the fingerprint even on a plane whose network
+    was mutated in place after the compile.
 
     Thread-safe: concurrent ``trace`` calls may redundantly compute the same
     trace (forwarding is deterministic, so both results are equal) but the
     cache itself is only mutated under a lock, and the first-installed trace
     is the one every caller observes thereafter.
-
-    When the cache is *shared* (the plane was rebound from compile-cache
-    artifacts), a trace is only installed after
-    :meth:`~repro.dataplane.plane.DataPlane.binding_intact` confirms the
-    configs along its path still match the fingerprints the artifacts were
-    compiled from. Without that check, a session mutating its configs in
-    place (a production push, an in-place injection) would trace on the
-    stale plane and poison the cache entry every other equal-fingerprint
-    session reads. Drifted traces are still returned to the caller — stale
-    planes were always undefined behaviour — they just never become shared
-    state (counted by ``dataplane.trace.drift``).
     """
 
     def __init__(self, dataplane):
         self.dataplane = dataplane
-        self._cache = getattr(dataplane, "trace_cache", None)
-        self._shared = (
-            self._cache is not None
-            and getattr(dataplane, "artifacts", None) is not None
-        )
-        if self._cache is None:
-            self._cache = {}
-        self._lock = getattr(dataplane, "trace_lock", None)
-        if self._lock is None:
-            self._lock = threading.Lock()
-        self._owners = getattr(dataplane, "owner_cache", None)
-        if self._owners is None:
-            self._owners = {}
-
-    def _owner(self, src_ip):
-        """Memoized ``device_owning_ip`` (the scan is global and pricey)."""
-        owner = self._owners.get(src_ip, _UNRESOLVED)
-        if owner is _UNRESOLVED:
-            owner = self.dataplane.network.device_owning_ip(src_ip)
-            self._owners[src_ip] = owner
-        return owner
+        self._cache = dataplane.trace_cache
+        self._lock = dataplane.trace_lock
 
     def trace(self, flow, start_device=None):
         """Cached :func:`trace_flow`."""
         key = (flow, start_device)
         trace = self._cache.get(key)
         if trace is None:
-            resolved = start_device
-            if resolved is None:
-                # Resolve the implicit start here so repeated source IPs
-                # don't rescan the network; trace_flow falls back to its
-                # own no-owner handling when the lookup comes up empty.
-                resolved = self._owner(flow.src_ip)
-            trace = trace_flow(self.dataplane, flow, resolved)
-            if self._shared and not self.dataplane.binding_intact(
-                set(trace.path())
-            ):
-                _TRACE_DRIFT.inc()
-                return trace
+            trace = trace_flow(self.dataplane, flow, start_device)
             with self._lock:
                 trace = self._cache.setdefault(key, trace)
         return trace

@@ -1,21 +1,19 @@
 """Regression: in-place config mutation must not poison the shared caches.
 
 ``build_dataplane`` rebinds compile-cache artifacts to the caller's Network
-object, and equal-fingerprint planes share one trace cache. Forwarding reads
-ACLs from the *live* configs, so a session that mutates its network in place
-(without recompiling) computes traces that reflect state no other session
-has — before this fix those traces were installed into the shared cache and
-served, stale, to every equal-fingerprint analyzer in the process.
+object, and equal-fingerprint planes share one trace cache. Forwarding once
+read ACLs from the *live* configs, so a session that mutated its network in
+place (without recompiling) computed traces that reflected state no other
+session had. Forwarding now reads only the compiled forwarding index, so a
+drifted plane answers for the snapshot it was compiled from and whatever it
+caches is the shared, compiled answer.
 """
 
 import pytest
 
 from repro import obs
-from repro.config.diffing import diff_networks
 from repro.control.builder import build_dataplane
 from repro.control.cache import clear_dataplane_cache
-from repro.core.enforcer.verifier import ChangeVerifier
-from repro.dataplane.plane import DataPlane
 from repro.dataplane.reachability import ReachabilityAnalyzer, host_flow
 from tests.fixtures import square_network
 
@@ -45,28 +43,16 @@ class TestRebindDriftGuard:
 
         _drop_acl(network_b)
         flow = host_flow(network_b, "h2", "h3")
-        trace = ReachabilityAnalyzer(plane_b).trace(flow, start_device="h2")
-        # The mutating session still gets its own (live-config) answer ...
-        assert trace.success
-        # ... but the shared cache never sees it: session A's analyzer
-        # re-traces against the clean configs and keeps the denial.
-        assert (flow, "h2") not in plane_a.trace_cache
+        drifted = ReachabilityAnalyzer(plane_b).trace(flow, start_device="h2")
+        # The drifted plane answers for its compiled snapshot, which still
+        # denies h2 -> h3, exactly like its clean twin ...
+        assert not drifted.success
+        clean = ReachabilityAnalyzer(plane_a).trace(flow, start_device="h2")
+        assert clean is drifted
+        # ... and that compiled answer is what the shared cache holds.
+        assert plane_a.trace_cache[(flow, "h2")] is drifted
         assert ReachabilityAnalyzer(plane_a).hosts_reachable(
             "h2", "h3") is False
-
-    def test_drift_is_counted(self):
-        network_a = square_network()
-        build_dataplane(network_a)
-        network_b = square_network()
-        plane_b = build_dataplane(network_b)
-        _drop_acl(network_b)
-        obs.reset()
-        obs.enable()
-        try:
-            ReachabilityAnalyzer(plane_b).hosts_reachable("h2", "h3")
-        finally:
-            obs.disable()
-        assert obs.registry().get("dataplane.trace.drift").value == 1
 
     def test_intact_bindings_still_share_traces(self):
         network_a = square_network()
@@ -86,81 +72,13 @@ class TestRebindDriftGuard:
         network_b.config("r3").interface("Gi0/2").access_group_out = None
         ReachabilityAnalyzer(plane_b).hosts_reachable("h2", "h3")
 
-        # Undo the drift; a freshly rebound plane (binding memos are
-        # per-plane) matches the artifacts again and shares traces.
+        # Undo the drift; a freshly rebound plane shares traces again.
         network_b.config("r3").acls["PROTECT_H3"] = acl
         network_b.config("r3").interface("Gi0/2").access_group_out = (
             "PROTECT_H3"
         )
         plane_c = build_dataplane(network_b)
-        assert plane_c.binding_intact(set(network_b.configs))
         analyzer = ReachabilityAnalyzer(plane_c)
         assert analyzer.hosts_reachable("h2", "h3") is False
         flow = host_flow(network_b, "h2", "h3")
         assert (flow, "h2") in plane_c.trace_cache
-
-
-class TestBindingAssertion:
-    """An owner that promises no in-place mutation skips the re-hash guard.
-
-    The guard costs one config serialize + hash per device per traced path
-    per plane — ~10% of an incremental ``ChangeVerifier.verify`` — so the
-    enforcer, which owns its planes for the duration of a pass, asserts
-    instead of re-proving what the compile just fingerprinted.
-    """
-
-    def test_asserted_plane_installs_shared_traces_without_hashing(
-        self, monkeypatch
-    ):
-        network = square_network()
-        plane = build_dataplane(network)
-        plane.assert_binding_intact()
-
-        def boom(config):
-            raise AssertionError("drift guard re-hashed an asserted plane")
-
-        monkeypatch.setattr("repro.control.cache.config_fingerprint", boom)
-        flow = host_flow(network, "h2", "h3")
-        ReachabilityAnalyzer(plane).trace(flow, start_device="h2")
-        assert (flow, "h2") in plane.trace_cache
-
-    def test_enforcer_verify_asserts_every_shared_plane(self, monkeypatch):
-        """Each shared-cache install inside verify() short-circuits the guard."""
-        consulted = []
-        original = DataPlane.binding_intact
-
-        def spy(self, devices):
-            consulted.append(self._binding_asserted)
-            return original(self, devices)
-
-        monkeypatch.setattr(DataPlane, "binding_intact", spy)
-        production = square_network()
-        modified = production.copy()
-        modified.config("r1").interface("Gi0/0").description = "updated"
-        changes = diff_networks(production.configs, modified.configs)
-        verifier = ChangeVerifier(_policies())
-        decision = verifier.verify(production, changes)
-        assert decision.approved
-        assert consulted, "expected shared-cache trace installs"
-        assert all(consulted)
-
-    def test_unasserted_analyzers_still_guarded(self):
-        network_a = square_network()
-        plane_a = build_dataplane(network_a)
-        network_b = square_network()
-        plane_b = build_dataplane(network_b)
-        _drop_acl(network_b)
-        flow = host_flow(network_b, "h2", "h3")
-        ReachabilityAnalyzer(plane_b).trace(flow, start_device="h2")
-        assert (flow, "h2") not in plane_a.trace_cache
-
-
-def _policies():
-    from repro.net.flow import Flow
-    from repro.policy.model import ReachabilityPolicy
-
-    return [
-        ReachabilityPolicy(
-            "reach:h1->h2", Flow.make("10.1.1.100", "10.2.2.100", "icmp")
-        )
-    ]

@@ -164,9 +164,12 @@ class TestBenchConcurrent:
         assert report["ok"] is True
         assert report["sessions"] == 2
 
-    def test_rejects_bad_session_count(self):
-        code, text = run("bench", "--concurrent", "0")
+    def test_rejects_bad_session_count(self, tmp_path):
+        code, text = run(
+            "bench", "--concurrent", "0", "-o", str(tmp_path / "bench.json")
+        )
         # 0 means "perf bench" by flag default; explicit negatives error.
+        assert code == 0
         code, text = run("bench", "--concurrent", "-3")
         assert code != 0
 
