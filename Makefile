@@ -72,17 +72,22 @@ chaos-matrix:
 # against one production; exits non-zero unless every session ends
 # imported or deterministically rejected/rebased with the journal and
 # audit invariants intact (docs/ARCHITECTURE.md "Concurrency model").
+# The throwaway report goes to /tmp; the committed BENCH_concurrent.json
+# changes only through an explicit `bench --concurrent 8 -o ...`.
 stress:
-	$(PYTHON) -m repro.cli bench --concurrent 8 --seed 7 -o BENCH_concurrent.json
+	$(PYTHON) -m repro.cli bench --concurrent 8 --seed 7 \
+		-o /tmp/BENCH_concurrent.json
 
 # Multi-tenant front-door stress: 24 sessions over 3 org-isolated
 # deployments, front door vs direct, plus a deterministic flood probe;
 # exits non-zero unless every session imports with zero cross-tenant
 # violations and the isolation-overhead gate (<= 1.3x) holds
-# (docs/ARCHITECTURE.md "Tenancy & front door").
+# (docs/ARCHITECTURE.md "Tenancy & front door"). The report goes to /tmp,
+# so `bench-check` gates against the committed BENCH_tenants.json rather
+# than against a run written minutes earlier.
 stress-tenants:
 	$(PYTHON) -m repro.cli bench --tenants 24 --orgs 3 --seed 7 \
-		-o BENCH_tenants.json
+		-o /tmp/BENCH_tenants.json
 
 # The default pre-merge gate.
 check: docs-check chaos stress stress-tenants bench-scale bench-check

@@ -8,7 +8,7 @@ it at managed-estate scale (docs/SCALING.md is the full handbook):
    seeded misconfiguration issues;
 2. plan and run a sharded compile, and check it is byte-identical to the
    monolithic builder;
-3. verify every invariant policy through the process-sharded verifier;
+3. verify every invariant policy against the sharded plane;
 4. inject a seeded issue and fix it through the ordinary Heimdall ticket
    workflow — scoping keeps the twin tiny even when production is huge.
 
@@ -17,11 +17,8 @@ Run:  python examples/mega_network.py
 
 from repro import Heimdall
 from repro.control.builder import build_dataplane
-from repro.control.shard import (
-    compile_shard_plan,
-    sharded_compile,
-    sharded_verify,
-)
+from repro.control.shard import compile_shard_plan, sharded_compile
+from repro.policy.verification import PolicyVerifier
 from repro.scenarios.generate import generate_scenario
 
 
@@ -52,7 +49,7 @@ def main():
           f"{identical}\n")
 
     # ---- 3. verify the invariants at scale ---------------------------------
-    report = sharded_verify(scenario.policies, plane)
+    report = PolicyVerifier(scenario.policies).verify_dataplane(plane)
     holding = sum(1 for r in report.results if r.holds)
     print(f"verify: {holding}/{len(report.results)} policies hold "
           f"on the clean network\n")

@@ -1,4 +1,4 @@
-"""Sharded data-plane compilation and policy verification for mega-networks.
+"""Sharded data-plane compilation for mega-networks.
 
 The monolithic pipeline (:mod:`repro.control.builder`) is fine at paper
 scale (~36 devices) but a generated mega-network
@@ -26,9 +26,8 @@ partitions that work into **shards** and runs them across a
   re-deriving ``(-prefixlen, str(prefix))`` per installed route.
 * **Graceful degradation.** A worker process dying (the
   ``scale.shard.crash`` fault point, or a real pool breakage) loses only
-  its shard: the parent re-runs the lost shard in-process — the same
-  degrade-don't-fail idiom the parallel policy verifier uses for dying
-  threads — and counts it on ``scale.shard.degraded``.
+  its shard: the parent re-runs the lost shard in-process and counts it
+  on ``scale.shard.degraded``.
 
 Workers inherit their inputs by ``fork`` (the compile task is staged in a
 module global before the pool spawns), so nothing network-sized is
@@ -64,11 +63,9 @@ from repro.control.routes import ADMIN_DISTANCE, Route, select_best_routes
 from repro.dataplane.fib import Fib
 from repro.dataplane.index import build_index
 from repro.dataplane.plane import DataPlane
-from repro.dataplane.reachability import ReachabilityAnalyzer
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.state import STATE as _OBS
-from repro.policy.verification import VerificationReport
 from repro.util.clock import monotonic_s
 from repro.util.errors import ShardWorkerError
 
@@ -82,7 +79,7 @@ _SHARDS = obs_metrics.gauge(
 )
 _WORKERS = obs_metrics.gauge(
     "scale.workers", unit="processes",
-    help="worker processes used by the most recent sharded compile/verify",
+    help="worker processes used by the most recent sharded compile",
 )
 _SHARD_ROUTERS = obs_metrics.histogram(
     "scale.shard.routers", unit="routers",
@@ -92,18 +89,14 @@ _COMPILE_MS = obs_metrics.histogram(
     "scale.compile.ms", unit="ms",
     help="wall-clock milliseconds per sharded compile (cache hits excluded)",
 )
-_VERIFY_MS = obs_metrics.histogram(
-    "scale.verify.ms", unit="ms",
-    help="wall-clock milliseconds per sharded verification pass",
-)
 _DEGRADED = obs_metrics.counter(
     "scale.shard.degraded", unit="shards",
-    help="compile/verify shards re-run in-process after a worker death",
+    help="compile shards re-run in-process after a worker death",
 )
 
 _CRASH_FAULT = faults.fault_point(
     "scale.shard.crash", error=ShardWorkerError,
-    help="a sharded compile/verify worker process dies; the parent re-runs "
+    help="a sharded compile worker process dies; the parent re-runs "
          "the lost shard in-process (graceful degradation)",
 )
 
@@ -111,7 +104,6 @@ _CRASH_FAULT = faults.fault_point(
 # address-space copy instead of pickling a whole network per task. Cleared
 # once the pool is done; ``None`` whenever no sharded run is in flight.
 _TASK = None
-_VERIFY_TASK = None
 
 
 def effective_workers(workers):
@@ -582,89 +574,3 @@ def _run_shards(task, workers):
         _DEGRADED.inc()
         results.update(_compute_shard(task, shard))
     return results, len(lost)
-
-
-# -- sharded verify ------------------------------------------------------------
-
-
-def _run_verify_slice(indexes):
-    """Worker entry point: check one slice of the staged policy set."""
-    dataplane, policies = _VERIFY_TASK
-    analyzer = ReachabilityAnalyzer(dataplane)
-    return [(index, policies[index].check(analyzer)) for index in indexes]
-
-
-def sharded_verify(policies, dataplane, workers=None):
-    """Verify ``policies`` against ``dataplane`` across worker processes.
-
-    Policies are split round-robin so every worker sees a mix of cheap and
-    expensive flows; results come back as picklable
-    :class:`~repro.policy.model.PolicyResult` objects and are reassembled
-    in policy order, so the report is indistinguishable from a serial
-    :class:`~repro.policy.verification.PolicyVerifier` pass. A dying
-    worker (the ``scale.shard.crash`` fault point or a broken pool) loses
-    only its slice, which the parent re-checks in-process.
-
-    Unlike the thread-pool verifier this pays a real fork per pass, so it
-    is worth it only for mega-network policy sets; with one effective
-    worker it degenerates to a plain serial sweep.
-    """
-    policies = list(policies)
-    workers = min(effective_workers(workers), max(1, len(policies)))
-    started = monotonic_s() if _OBS.enabled else 0.0
-    report = VerificationReport()
-    with obs_trace.span(
-        "scale.verify", policies=len(policies), workers=workers,
-    ) as vspan:
-        _WORKERS.set(workers)
-        if workers <= 1 or len(policies) <= 1:
-            analyzer = ReachabilityAnalyzer(dataplane)
-            report.results = [
-                policy.check(analyzer) for policy in policies
-            ]
-        else:
-            report.results = _verify_sliced(
-                policies, dataplane, workers, vspan
-            )
-    if _OBS.enabled:
-        _VERIFY_MS.observe((monotonic_s() - started) * 1000.0)
-    return report
-
-
-def _verify_sliced(policies, dataplane, workers, vspan):
-    global _VERIFY_TASK
-    _VERIFY_TASK = (dataplane, policies)
-    results = [None] * len(policies)
-    lost = []
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            futures = {}
-            for offset in range(workers):
-                indexes = list(range(offset, len(policies), workers))
-                if not indexes:
-                    continue
-                try:
-                    _CRASH_FAULT.fire(verify_slice=offset)
-                except ShardWorkerError:
-                    lost.extend(indexes)
-                    continue
-                futures[pool.submit(_run_verify_slice, indexes)] = indexes
-            for future, indexes in futures.items():
-                try:
-                    for index, result in future.result():
-                        results[index] = result
-                except (ShardWorkerError, BrokenProcessPool, OSError):
-                    lost.extend(indexes)
-    finally:
-        _VERIFY_TASK = None
-
-    if lost:
-        _DEGRADED.inc()
-        vspan.set(degraded=True, lost_policies=len(lost))
-        analyzer = ReachabilityAnalyzer(dataplane)
-        for index in sorted(lost):
-            results[index] = policies[index].check(analyzer)
-    return results

@@ -60,11 +60,6 @@ _BREAKER_TRIPS = obs_metrics.counter(
     "rollout.breaker.trips", unit="devices",
     help="per-device circuit breakers opened by spent flap budgets",
 )
-_PROBE_PARALLEL = obs_metrics.counter(
-    "rollout.probe.parallel", unit="probes",
-    help="health probes dispatched concurrently within a disjoint-cone "
-         "wave group (sequential probes are not counted)",
-)
 
 # Fault points the canary chaos campaign arms (docs/ROBUSTNESS.md catalog).
 PROBE_FAIL_FAULT = faults.fault_point(
@@ -96,10 +91,8 @@ class RolloutConfig:
     ``flap_budget`` transient failures per device open its circuit breaker;
     ``probe_incremental=False`` forces from-scratch probe compiles (the
     rollout benchmark's cold baseline); ``probe_convergence`` toggles the
-    dead-next-hop sweep; ``probe_parallel`` lets consecutive waves whose
-    dependency cones (:func:`repro.control.deps.wave_cone`) are pairwise
-    disjoint apply back-to-back and probe concurrently — overlapping cones
-    always fall back to the strict apply-probe-commit sequence.
+    dead-next-hop sweep. Waves always run strictly one after another:
+    apply, probe, commit.
     """
 
     wave_size: int = 1
@@ -107,7 +100,6 @@ class RolloutConfig:
     flap_budget: int = 3
     probe_incremental: bool = True
     probe_convergence: bool = True
-    probe_parallel: bool = True
 
 
 @dataclass
@@ -251,10 +243,7 @@ class HealthProbe:
                     policy for policy in policies
                     if policy.policy_id in self.invariants
                 ]
-                self._invariant_verifier = PolicyVerifier(
-                    relevant,
-                    max_workers=getattr(policy_verifier, "max_workers", None),
-                )
+                self._invariant_verifier = PolicyVerifier(relevant)
             else:
                 self._invariant_verifier = policy_verifier
         # Per-device dead-next-hop sets: the convergence sweep reuses a
@@ -271,9 +260,7 @@ class HealthProbe:
                 *self._baseline_dead_by_device.values()
             ) if self._baseline_dead_by_device else frozenset()
         # The previous probe's plane: each wave's plane differs from its
-        # predecessor by one wave, so traces seed best chain-wise. Read
-        # once / written last in check(); races between concurrent group
-        # probes are benign (any seed source is valid).
+        # predecessor by one wave, so traces seed best chain-wise.
         self._last_plane = None
 
     @classmethod
@@ -335,8 +322,7 @@ class HealthProbe:
             check_convergence=config.probe_convergence,
         )
 
-    def check(self, production, applied_devices, wave_index,
-              fire_fault=True):
+    def check(self, production, applied_devices, wave_index):
         """Probe the mixed-version state after a wave applied.
 
         ``applied_devices`` is the **cumulative** set of devices every
@@ -346,10 +332,7 @@ class HealthProbe:
         Returns a :class:`ProbeResult`; raises
         :class:`~repro.util.errors.HealthProbeError` only via the
         ``rollout.wave.probe_fail`` fault point (real violations are
-        reported, not raised — the scheduler decides). ``fire_fault=False``
-        skips that fault point: the scheduler's parallel wave groups fire
-        it themselves, in wave order from the dispatching thread, so
-        nth-based fault rules stay deterministic under concurrency.
+        reported, not raised — the scheduler decides).
         """
         _PROBES.inc()
         applied = set(applied_devices)
@@ -357,8 +340,7 @@ class HealthProbe:
             "rollout.probe", wave=wave_index, applied=len(applied),
             incremental=self.incremental,
         ) as span:
-            if fire_fault:
-                PROBE_FAIL_FAULT.fire(wave=wave_index, applied=len(applied))
+            PROBE_FAIL_FAULT.fire(wave=wave_index, applied=len(applied))
             if self.incremental:
                 plane = build_dataplane(
                     production,
@@ -565,9 +547,3 @@ def quarantine_devices(journal, devices, reason):
 def record_committed_wave():
     """Count one healthy, committed wave."""
     _WAVES.inc()
-
-
-def record_parallel_probes(count):
-    """Count ``count`` probes dispatched concurrently in one wave group."""
-    if count:
-        _PROBE_PARALLEL.inc(count)

@@ -20,14 +20,18 @@ only shared surface. Admission is **overload-safe by construction**:
   :class:`~repro.util.errors.FrontDoorOverloadError` carrying a
   retry-after hint, instead of queueing into unbounded latency.
 
-Drive it via ``Heimdall(tenants=[...]).frontdoor`` or construct it
-directly from :class:`~repro.core.tenancy.TenantSpec` objects.
+The front door is the only multi-tenant entry point: construct it from
+:class:`~repro.core.tenancy.TenantSpec` objects, and it builds one
+single-network :class:`~repro.core.heimdall.Heimdall` per org.
 """
 
 import queue as queue_module
 import threading
 
 from repro import faults
+from repro.core.heimdall import Heimdall
+from repro.core.sessions import SessionManager
+from repro.core.tenancy import TenantRegistry, TokenAuthority
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.util.clock import monotonic_s
@@ -193,10 +197,6 @@ class FrontDoor:
 
     def __init__(self, tenants, on_stale="rebase", approvals=None,
                  audit_replicas=0, audit_quorum=None):
-        from repro.core.heimdall import Heimdall
-        from repro.core.sessions import SessionManager
-        from repro.core.tenancy import TenantRegistry, TokenAuthority
-
         specs = list(tenants)
         if not specs:
             raise FrontDoorError("front door needs at least one tenant")

@@ -38,7 +38,7 @@ from repro.core.twin.twin import TwinNetwork
 from repro.obs import trace as obs_trace
 from repro.policy.mining import mine_policies
 from repro.util.clock import CostModel, SimulatedClock
-from repro.util.errors import PrivilegeError, TenancyError
+from repro.util.errors import PrivilegeError
 from repro.util.ids import IdAllocator
 
 # Profiles a ticket class may escalate into (paper §7: escalations move from
@@ -80,46 +80,21 @@ class Heimdall:
     :class:`repro.core.sessions.SessionManager` provides that serialization
     plus per-element leases and stale-base detection; drive concurrent
     tickets through it rather than calling this class from N threads.
+    Multi-tenant service goes through :class:`repro.core.frontdoor.FrontDoor`,
+    which builds one org-scoped deployment per tenant.
     """
 
-    def __init__(self, production=None, policies=None,
+    def __init__(self, production, policies=None,
                  scoping_strategy="heimdall",
-                 clock=None, cost_model=None, max_workers=None, rollout=None,
+                 clock=None, cost_model=None, rollout=None,
                  approvals=None, audit_replicas=0, audit_quorum=None,
-                 tenants=None, org_id=""):
-        # Multi-tenant service mode: N org-isolated deployments behind one
-        # admission front door (docs/ARCHITECTURE.md "Tenancy & front
-        # door"). All work routes through self.frontdoor; the single-tenant
-        # surface on this instance stays unusable (fail closed).
-        if tenants is not None:
-            from repro.core.frontdoor import FrontDoor
-
-            if production is not None:
-                raise TenancyError(
-                    "pass either production= (single tenant) or tenants= "
-                    "(multi-tenant front door), not both"
-                )
-            self.frontdoor = FrontDoor(
-                tenants, approvals=approvals,
-                audit_replicas=audit_replicas, audit_quorum=audit_quorum,
-            )
-            self.production = None
-            self.org_id = ""
-            return
-        if production is None:
-            raise TenancyError(
-                "a single-tenant Heimdall needs a production network; "
-                "multi-tenant service goes through "
-                "Heimdall(tenants=...).frontdoor"
-            )
-        self.frontdoor = None
+                 org_id=""):
         self.org_id = org_id
         self.production = production
         self.policies = (
             list(policies) if policies is not None else mine_policies(production)
         )
         self.scoping_strategy = scoping_strategy
-        self.max_workers = max_workers  # verifier parallelism (None = serial)
         # Staged canary imports: a RolloutConfig makes every approved push
         # wave-based with post-wave health probes (docs/ARCHITECTURE.md
         # "Staged rollout"); None keeps monolithic transactional pushes.
@@ -183,11 +158,6 @@ class Heimdall:
             Privilege_msp, and (when observability is on) the session's
             root span.
         """
-        if self.production is None:
-            raise TenancyError(
-                "this Heimdall fronts multiple tenants; route work through "
-                "heimdall.frontdoor with a capability token"
-            )
         strategy = strategy or self.scoping_strategy
         profile = profile or profile_for_issue(issue)
 
@@ -252,10 +222,7 @@ class Heimdall:
         """
         with obs_trace.span("enforcer.enforce", parent=session.span):
             changes = session.twin.changes()
-            verifier = ChangeVerifier(
-                self.policies, session.privilege_spec,
-                max_workers=self.max_workers,
-            )
+            verifier = ChangeVerifier(self.policies, session.privilege_spec)
             decision = verifier.verify(self.production, changes)
             self.clock.advance(
                 self.cost_model.verify_s(verifier.constraint_count),

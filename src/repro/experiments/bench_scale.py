@@ -19,9 +19,9 @@ from repro.control.shard import (
     compile_shard_plan,
     effective_workers,
     sharded_compile,
-    sharded_verify,
 )
 from repro.experiments.bench_dataplane import median_ms
+from repro.policy.verification import PolicyVerifier
 from repro.scenarios.generate import SHAPES, generate_scenario
 from repro.util.clock import monotonic_s
 from repro.util.errors import ReproError
@@ -73,10 +73,8 @@ def run_scale_benchmark(size=DEFAULT_SIZE, shape="fat-tree", seed=7,
     plane = sharded_compile(
         network, workers=workers, shard_size=shard_size, use_cache=False
     )
-    verify_ms = median_ms(
-        lambda: sharded_verify(scenario.policies, plane, workers=workers),
-        repeats,
-    )
+    verifier = PolicyVerifier(scenario.policies)
+    verify_ms = median_ms(lambda: verifier.verify_dataplane(plane), repeats)
     policies_per_s = (
         len(scenario.policies) / (verify_ms / 1000.0) if verify_ms > 0
         else float("inf")

@@ -52,9 +52,14 @@ class Network:
         return self.topology.device_names(DeviceKind.HOST)
 
     def device_owning_ip(self, address):
-        """The device with ``address`` on some interface, or ``None``."""
-        for name, config in self.configs.items():
-            if config.owns_address(address):
+        """The device with ``address`` on some interface, or ``None``.
+
+        A duplicated address resolves to the owner whose name sorts first
+        (the forwarding index's rule), never to whichever the config dict
+        happens to list first.
+        """
+        for name in sorted(self.configs):
+            if self.configs[name].owns_address(address):
                 return name
         return None
 
@@ -69,7 +74,9 @@ class Network:
         """A new network containing only ``device_names`` and internal links.
 
         Used by the twin network to materialise a task-scoped slice. Configs
-        are deep-copied so twin edits never touch the original.
+        are deep-copied so twin edits never touch the original, and follow
+        the topology's device order, so iteration never depends on the hash
+        seed.
         """
         from repro.net.topology import Topology
 
@@ -88,7 +95,10 @@ class Network:
                 topo.add_link(
                     link.a.device, link.a.name, link.b.device, link.b.name
                 )
-        configs = {name: self.configs[name].copy() for name in keep}
+        configs = {
+            device.name: self.configs[device.name].copy()
+            for device in topo.devices()
+        }
         return Network(topo, configs)
 
     def copy(self):

@@ -1,9 +1,10 @@
-"""Sharded compile/verify: byte-identical to the monolithic pipeline.
+"""Sharded compile: byte-identical to the monolithic pipeline.
 
 The contract everything here enforces: sharding changes *scheduling*, never
 *results*. Every test compares the sharded output — in-process, across a
 real worker pool, and degraded by worker crashes — against
-``build_dataplane(use_cache=False)`` and the serial policy verifier.
+``build_dataplane(use_cache=False)``, and policy sweeps over sharded planes
+against the same sweep over the monolithic plane.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from repro.control.shard import (
     compile_shard_plan,
     effective_workers,
     sharded_compile,
-    sharded_verify,
 )
 from repro.faults.registry import Rule
 from repro.obs import registry
@@ -57,6 +57,11 @@ def assert_planes_identical(expected, actual):
         assert expected.fib(device).routes() == actual.fib(device).routes(), (
             device
         )
+
+
+def verdicts(plane, policies):
+    report = PolicyVerifier(policies).verify_dataplane(plane)
+    return [(r.policy.policy_id, r.holds) for r in report.results]
 
 
 class TestShardPlan:
@@ -116,34 +121,40 @@ class TestCrashDegradation:
         assert_planes_identical(monolithic, plane)
 
     def test_degraded_verify_matches_serial(self, scenario, monolithic):
-        serial = PolicyVerifier(scenario.policies).verify_dataplane(monolithic)
+        # A plane whose lost shard re-ran in-process verifies exactly like
+        # the monolithic plane.
         faults.arm({"scale.shard.crash": Rule(nth=1, times=1)}, seed=7)
-        report = sharded_verify(scenario.policies, monolithic, workers=2)
-        assert [r.policy.policy_id for r in report.results] == [
-            r.policy.policy_id for r in serial.results
-        ]
-        assert [r.holds for r in report.results] == [
-            r.holds for r in serial.results
-        ]
+        plane = sharded_compile(
+            scenario.network, workers=2, shard_size=SHARD_SIZE,
+            use_cache=False,
+        )
+        faults.disarm()
+        assert verdicts(plane, scenario.policies) == verdicts(
+            monolithic, scenario.policies
+        )
 
 
 class TestShardedVerify:
+    """Policy sweeps run in-process over sharded planes (the scale bench
+    and the mega-network example) and answer like the monolithic plane."""
+
     def test_matches_serial_verifier(self, scenario, monolithic):
-        serial = PolicyVerifier(scenario.policies).verify_dataplane(monolithic)
-        report = sharded_verify(scenario.policies, monolithic, workers=2)
-        assert [r.policy.policy_id for r in report.results] == [
-            r.policy.policy_id for r in serial.results
-        ]
-        assert [r.holds for r in report.results] == [
-            r.holds for r in serial.results
-        ]
+        plane = sharded_compile(
+            scenario.network, workers=2, shard_size=SHARD_SIZE,
+            use_cache=False,
+        )
+        assert verdicts(plane, scenario.policies) == verdicts(
+            monolithic, scenario.policies
+        )
 
     def test_single_worker_serial_path(self, scenario, monolithic):
-        serial = PolicyVerifier(scenario.policies).verify_dataplane(monolithic)
-        report = sharded_verify(scenario.policies, monolithic, workers=1)
-        assert [r.holds for r in report.results] == [
-            r.holds for r in serial.results
-        ]
+        plane = sharded_compile(
+            scenario.network, workers=1, shard_size=SHARD_SIZE,
+            use_cache=False,
+        )
+        assert verdicts(plane, scenario.policies) == verdicts(
+            monolithic, scenario.policies
+        )
 
 
 class TestShardedCache:

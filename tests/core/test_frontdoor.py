@@ -12,7 +12,6 @@ import pytest
 
 from repro import faults, obs
 from repro.core.frontdoor import FrontDoor, TokenBucket
-from repro.core.heimdall import Heimdall
 from repro.core.tenancy import TenantSpec
 from repro.faults.registry import Rule
 from repro.util import rand
@@ -21,7 +20,6 @@ from repro.util.errors import (
     CapabilityDeniedError,
     FrontDoorError,
     FrontDoorOverloadError,
-    TenancyError,
     TenantIsolationError,
 )
 
@@ -225,21 +223,6 @@ class TestReadSurfaces:
 
 
 class TestHeimdallWiring:
-    def test_tenants_mode_exposes_the_front_door(self):
-        heimdall = Heimdall(tenants=[spec("acme")])
-        assert heimdall.frontdoor is not None
-        assert heimdall.production is None
-        assert heimdall.frontdoor.org_ids() == ["acme"]
-        with pytest.raises(TenancyError, match="capability token"):
-            heimdall.open_ticket(object())
-        heimdall.frontdoor.close()
-
-    def test_production_and_tenants_are_mutually_exclusive(self):
-        with pytest.raises(TenancyError):
-            Heimdall(square_network(), tenants=[spec("acme")])
-        with pytest.raises(TenancyError):
-            Heimdall()
-
     def test_org_scoped_deployments_are_fully_disjoint(self, door):
         acme = door.deployment("acme").heimdall
         blue = door.deployment("blue").heimdall

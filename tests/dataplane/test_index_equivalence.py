@@ -367,6 +367,7 @@ def test_unchanged_rows_are_shared_by_identity():
 _DUPLICATE_PROBE = """
 import json
 from repro.control.builder import build_dataplane
+from repro.net.network import Network
 from repro.scenarios.university import build_university_network
 
 network = build_university_network()
@@ -374,9 +375,15 @@ pc1 = network.config("dorm-pc1").interfaces["eth0"].address
 network.config("dorm-pc2").interfaces["eth0"].address = pc1
 plane = build_dataplane(network)
 subset = network.subset(["dist5", "dorm-pc1", "dorm-pc2"])
+# The same configs listed in reverse: the owner must not follow dict order.
+reversed_subset = Network(
+    subset.topology, dict(reversed(list(subset.configs.items())))
+)
 print(json.dumps({
     "next_hop": plane.resolve_next_hop("dist5", "Gi0/10", pc1.ip),
     "owner": build_dataplane(subset).index.owner(pc1.ip),
+    "device_owner": subset.device_owning_ip(pc1.ip),
+    "reversed_device_owner": reversed_subset.device_owning_ip(pc1.ip),
 }))
 """
 
@@ -393,4 +400,9 @@ def test_duplicate_address_resolution_ignores_hash_seed():
         answers.add(result.stdout)
     assert len(answers) == 1, answers
     answer = json.loads(answers.pop())
-    assert answer == {"next_hop": ["dorm-pc1", "eth0"], "owner": "dorm-pc1"}
+    assert answer == {
+        "next_hop": ["dorm-pc1", "eth0"],
+        "owner": "dorm-pc1",
+        "device_owner": "dorm-pc1",
+        "reversed_device_owner": "dorm-pc1",
+    }
